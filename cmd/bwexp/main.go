@@ -381,9 +381,11 @@ func run(args []string, out io.Writer) error {
 }
 
 // progressFunc returns an experiments progress callback that rewrites a
-// single stderr line per population, throttled so tight sweeps don't
-// spend their time printing. Progress goes to stderr so redirected
-// stdout stays clean experiment output.
+// single stderr line per sweep call, throttled so tight sweeps don't
+// spend their time printing. A sweep runs every protocol on each tree
+// before reporting it, so the rate counts trees under all protocols.
+// Progress goes to stderr so redirected stdout stays clean experiment
+// output.
 func progressFunc(label string) func(done, total int) {
 	var last time.Time
 	start := time.Now()
@@ -397,7 +399,7 @@ func progressFunc(label string) func(done, total int) {
 		fmt.Fprintf(os.Stderr, "\r%s: %d/%d trees (%.0f trees/sec)   ", label, done, total, rate)
 		if done == total {
 			fmt.Fprintln(os.Stderr)
-			start = time.Now() // next population (same experiment) restarts the rate
+			start = time.Now() // next sweep call (same experiment) restarts the rate
 		}
 	}
 }

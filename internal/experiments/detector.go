@@ -8,7 +8,6 @@ import (
 	"bwcs/internal/protocol"
 	"bwcs/internal/randtree"
 	"bwcs/internal/steady"
-	"bwcs/internal/window"
 )
 
 // DetectorResult evaluates the paper's empirical onset heuristic against
@@ -41,20 +40,20 @@ func Detector(o Options) (*DetectorResult, error) {
 		exact     steady.Class
 	}
 	verdicts := make([]verdict, o.Trees)
-	if err := parallelFor(o.Trees, o.workers(), func(_, i int) error {
+	evals := make([]*Evaluator, o.workers())
+	for i := range evals {
+		evals[i] = NewEvaluator()
+	}
+	if err := parallelFor(o.Trees, len(evals), func(worker, i int) error {
 		tr := randtree.TreeAt(o.Params, o.Seed, i)
-		_, res, err := EvaluateTree(o, proto, i, nil)
-		if err != nil {
-			return err
-		}
 		w := optimal.Weight(tr)
-		series, err := window.New(res.Completions, w)
+		oc, res, err := evals[worker].evaluate(o, proto, i, tr, w, nil)
 		if err != nil {
 			return err
 		}
 		det := steady.Detect(res.Completions, steady.Options{})
 		verdicts[i] = verdict{
-			heuristic: series.Reached(o.Threshold),
+			heuristic: oc.Reached,
 			exact:     det.Classify(w),
 		}
 		if verdicts[i].exact == steady.Anomalous {

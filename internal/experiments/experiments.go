@@ -22,8 +22,10 @@ import (
 	"bwcs/internal/optimal"
 	"bwcs/internal/protocol"
 	"bwcs/internal/randtree"
+	"bwcs/internal/rational"
 	"bwcs/internal/sim"
 	"bwcs/internal/stats"
+	"bwcs/internal/tree"
 	"bwcs/internal/window"
 )
 
@@ -45,14 +47,15 @@ type Options struct {
 	Workers int
 
 	// Progress, when non-nil, observes sweep advancement: it is called
-	// after each simulated tree with the number of trees finished so far
-	// in the current population and the population size. Calls are
-	// serialized and done increases by exactly one per call, but they
-	// arrive from worker goroutines. The callback runs outside the
-	// sweep's aggregation lock, so a slow callback delays reporting but
-	// never serializes the workers; it must not call back into the
-	// sweep. Reporting does not perturb results: the tree population and
-	// all outcomes are independent of it.
+	// once per tree, after every protocol has run on that tree, with the
+	// number of trees finished so far and the population size, so done
+	// goes 1..Trees once per RunPopulation call. Calls are serialized and
+	// done increases by exactly one per call; they may arrive on a
+	// goroutine other than the caller's, and RunPopulation returns only
+	// after the last one. A slow callback delays reporting but never the
+	// workers; it must not call back into the sweep. Reporting does not
+	// perturb results: the tree population and all outcomes are
+	// independent of it.
 	Progress func(done, total int)
 
 	// Stream, when true, makes RunPopulation aggregate each tree's
@@ -148,14 +151,16 @@ type TreeOutcome struct {
 	Makespan sim.Time
 }
 
-// SweepMetrics instruments one population sweep: wall-clock throughput
-// plus the engine counters summed over every tree in the population. The
-// Engine aggregate is deterministic (integer sums over deterministic
-// runs) with one caveat: FreeListHits and EventAllocs depend on how warm
-// each worker's reused run state is, so their split varies with the
-// worker count and work partition (their sum, the total Schedule count,
-// stays deterministic). Elapsed and TreesPerSec are wall-clock
-// measurements.
+// SweepMetrics instruments one protocol's population sweep: wall-clock
+// throughput plus the engine counters summed over every tree in the
+// population. The Engine aggregate is deterministic (integer sums over
+// deterministic runs) with one caveat: FreeListHits and EventAllocs
+// depend on how warm each worker's reused run state is, so their split
+// varies with the worker count and work partition (their sum, the total
+// Schedule count, stays deterministic). Elapsed and TreesPerSec are
+// wall-clock measurements of the whole RunPopulation call: the protocols
+// interleave tree by tree, so every Population of one call carries the
+// same values, and TreesPerSec counts trees run under all protocols.
 type SweepMetrics struct {
 	Elapsed     time.Duration
 	TreesPerSec float64
@@ -351,6 +356,13 @@ func NewEvaluator() *Evaluator { return &Evaluator{r: engine.NewRunner()} }
 // until this Evaluator's next run.
 func (ev *Evaluator) EvaluateTree(o Options, p protocol.Protocol, index int, checkpoints []int64) (TreeOutcome, *engine.Result, error) {
 	tr := randtree.TreeAt(o.Params, o.Seed, index)
+	return ev.evaluate(o, p, index, tr, optimal.Weight(tr), checkpoints)
+}
+
+// evaluate is EvaluateTree on a tree the caller already generated, with
+// its Theorem-1 weight already computed: both depend only on the tree,
+// so sweeps that run several protocols per tree build them once.
+func (ev *Evaluator) evaluate(o Options, p protocol.Protocol, index int, tr *tree.Tree, weight rational.Rat, checkpoints []int64) (TreeOutcome, *engine.Result, error) {
 	res, err := ev.r.Run(engine.Config{
 		Tree:        tr,
 		Protocol:    p,
@@ -361,7 +373,7 @@ func (ev *Evaluator) EvaluateTree(o Options, p protocol.Protocol, index int, che
 	if err != nil {
 		return TreeOutcome{}, nil, fmt.Errorf("tree %d under %v: %w", index, p, err)
 	}
-	series, err := window.New(res.Completions, optimal.Weight(tr))
+	series, err := window.New(res.Completions, weight)
 	if err != nil {
 		return TreeOutcome{}, nil, fmt.Errorf("tree %d under %v: %w", index, p, err)
 	}
@@ -394,10 +406,12 @@ func EvaluateTree(o Options, p protocol.Protocol, index int, checkpoints []int64
 }
 
 // RunPopulation evaluates each protocol over the same tree population in
-// parallel and returns one Population per protocol, in order. Each
-// worker reuses one Evaluator for the whole sweep, and every Population
-// carries the streaming aggregate; with o.Stream the per-tree Outcomes
-// slice is not materialized at all.
+// parallel and returns one Population per protocol, in order. The sweep
+// is tree-major: each worker generates a tree and its Theorem-1 weight
+// once, then runs every protocol on it through the worker's Evaluator,
+// so per-tree costs are paid once per tree rather than once per
+// protocol. Every Population carries the streaming aggregate; with
+// o.Stream the per-tree Outcomes slice is not materialized at all.
 func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -405,90 +419,73 @@ func RunPopulation(o Options, protos []protocol.Protocol) ([]Population, error) 
 	if len(protos) == 0 {
 		return nil, fmt.Errorf("experiments: no protocols")
 	}
-	workers := o.workers()
-	evals := make([]*Evaluator, workers)
-	for i := range evals {
-		evals[i] = NewEvaluator()
-	}
 	out := make([]Population, len(protos))
 	for pi, p := range protos {
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
-		var outcomes []TreeOutcome
+		out[pi] = Population{Protocol: p, Agg: NewPopulationAgg()}
 		if !o.Stream {
-			outcomes = make([]TreeOutcome, o.Trees)
+			out[pi].Outcomes = make([]TreeOutcome, o.Trees)
 		}
-		popAgg := NewPopulationAgg()
-		var (
-			mu         sync.Mutex // guards agg, popAgg, done
-			agg        engine.Metrics
-			done       int
-			progressMu sync.Mutex // serializes Progress callbacks
-			reported   int        // guarded by mu; last done value reported
-			start      = time.Now()
-		)
-		// report drains pending progress values outside mu: whoever wins
-		// progressMu reports each done value 1..Trees exactly once, in
-		// order, while losers return immediately — a slow callback
-		// therefore delays reporting, never the workers. The post-unlock
-		// recheck closes the window where a worker increments done and
-		// finds progressMu still held by a drainer that just decided to
-		// stop.
-		report := func() {
-			for {
-				if !progressMu.TryLock() {
-					return
-				}
-				for {
-					mu.Lock()
-					if reported >= done {
-						mu.Unlock()
-						break
-					}
-					reported++
-					next := reported
-					mu.Unlock()
-					o.Progress(next, o.Trees)
-				}
-				progressMu.Unlock()
-				mu.Lock()
-				again := reported < done
-				mu.Unlock()
-				if !again {
-					return
-				}
+	}
+	workers := o.workers()
+	evals := make([]*Evaluator, workers)
+	for i := range evals {
+		evals[i] = NewEvaluator()
+	}
+	// A slow Progress callback must delay reporting, never the workers:
+	// each finished tree drops a token into a channel with room for the
+	// whole population, and one reporter goroutine turns the tokens into
+	// serialized, in-order callbacks.
+	finished := make(chan struct{}, o.Trees)
+	reported := make(chan struct{})
+	go func() {
+		defer close(reported)
+		done := 0
+		for range finished {
+			done++
+			if o.Progress != nil {
+				o.Progress(done, o.Trees)
 			}
 		}
-		if err := parallelFor(o.Trees, workers, func(worker, i int) error {
-			oc, res, err := evals[worker].EvaluateTree(o, p, i, nil)
+	}()
+	var mu sync.Mutex // guards every out[pi].Agg and .Sweep.Engine
+	start := time.Now()
+	err := parallelFor(o.Trees, workers, func(worker, i int) error {
+		tr := randtree.TreeAt(o.Params, o.Seed, i)
+		weight := optimal.Weight(tr)
+		for pi := range out {
+			pop := &out[pi]
+			oc, res, err := evals[worker].evaluate(o, pop.Protocol, i, tr, weight, nil)
 			if err != nil {
 				return err
 			}
-			if outcomes != nil {
-				outcomes[i] = oc
+			if pop.Outcomes != nil {
+				pop.Outcomes[i] = oc
 			}
 			if o.Observer != nil {
 				o.Observer(oc)
 			}
 			mu.Lock()
-			agg.Add(res.Metrics)
-			popAgg.Observe(oc)
-			done++
+			pop.Sweep.Engine.Add(res.Metrics)
+			pop.Agg.Observe(oc)
 			mu.Unlock()
-			if o.Progress != nil {
-				report()
-			}
-			return nil
-		}); err != nil {
-			return nil, err
 		}
-		elapsed := time.Since(start)
-		sweep := SweepMetrics{Elapsed: elapsed, Engine: agg}
+		finished <- struct{}{}
+		return nil
+	})
+	elapsed := time.Since(start)
+	close(finished)
+	<-reported
+	if err != nil {
+		return nil, err
+	}
+	for pi := range out {
+		out[pi].Sweep.Elapsed = elapsed
 		if s := elapsed.Seconds(); s > 0 {
-			sweep.TreesPerSec = float64(o.Trees) / s
+			out[pi].Sweep.TreesPerSec = float64(o.Trees) / s
 		}
-		out[pi] = Population{Protocol: p, Outcomes: outcomes, Agg: popAgg, Sweep: sweep}
 	}
 	return out, nil
 }

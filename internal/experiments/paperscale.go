@@ -42,28 +42,26 @@ func (r *PaperScaleResult) Render(w io.Writer) error {
 	if err := r.Table1.Render(w); err != nil {
 		return err
 	}
-	var trees int
-	var treesPerSec float64
-	for i := range r.Fig4.Populations {
-		trees += r.Fig4.Populations[i].Agg.Trees
-		treesPerSec += r.Fig4.Populations[i].Sweep.TreesPerSec
-	}
-	fmt.Fprintf(w, "\npaper-scale sweep: %d simulations in %v (mean %.0f trees/sec per population)\n",
-		trees, r.Elapsed.Round(time.Millisecond), treesPerSec/float64(len(r.Fig4.Populations)))
+	pops := r.Fig4.Populations
+	fmt.Fprintf(w, "\npaper-scale sweep: %d simulations in %v (%.0f trees/sec, each tree under all %d protocols)\n",
+		pops[0].Agg.Trees*len(pops), r.Elapsed.Round(time.Millisecond), pops[0].Sweep.TreesPerSec, len(pops))
 	return nil
 }
 
 // PaperScaleJSON is the machine-readable paper-scale artifact the CI job
 // uploads; the schema is versioned independently of the bench baseline.
+// Schema v2 moved trees_per_sec from each protocol to the top level: the
+// protocols share one tree-major sweep, so it describes the whole run.
 type PaperScaleJSON struct {
-	Schema     string            `json:"schema"`
-	Trees      int               `json:"trees"`
-	Tasks      int64             `json:"tasks"`
-	Threshold  int               `json:"threshold"`
-	Seed       uint64            `json:"seed"`
-	ElapsedSec float64           `json:"elapsed_sec"`
-	Protocols  []PaperScaleProto `json:"protocols"`
-	Table1     PaperScaleTable1  `json:"table1"`
+	Schema      string            `json:"schema"`
+	Trees       int               `json:"trees"`
+	Tasks       int64             `json:"tasks"`
+	Threshold   int               `json:"threshold"`
+	Seed        uint64            `json:"seed"`
+	ElapsedSec  float64           `json:"elapsed_sec"`
+	TreesPerSec float64           `json:"trees_per_sec"`
+	Protocols   []PaperScaleProto `json:"protocols"`
+	Table1      PaperScaleTable1  `json:"table1"`
 }
 
 // PaperScaleProto is one protocol's aggregate in the JSON artifact.
@@ -72,7 +70,6 @@ type PaperScaleProto struct {
 	ReachedFraction float64   `json:"reached_fraction"`
 	MedianOnset     int64     `json:"median_onset"`
 	MaxNodeUsed     int64     `json:"max_node_used"`
-	TreesPerSec     float64   `json:"trees_per_sec"`
 	CDFX            []int64   `json:"cdf_x"`
 	CDFY            []float64 `json:"cdf_y"`
 }
@@ -88,12 +85,13 @@ type PaperScaleTable1 struct {
 func (r *PaperScaleResult) JSON() PaperScaleJSON {
 	o := r.Fig4.Options
 	out := PaperScaleJSON{
-		Schema:     "bwcs-paperscale/v1",
-		Trees:      o.Trees,
-		Tasks:      o.Tasks,
-		Threshold:  o.Threshold,
-		Seed:       o.Seed,
-		ElapsedSec: r.Elapsed.Seconds(),
+		Schema:      "bwcs-paperscale/v2",
+		Trees:       o.Trees,
+		Tasks:       o.Tasks,
+		Threshold:   o.Threshold,
+		Seed:        o.Seed,
+		ElapsedSec:  r.Elapsed.Seconds(),
+		TreesPerSec: r.Fig4.Populations[0].Sweep.TreesPerSec,
 		Table1: PaperScaleTable1{
 			Buckets: Table1Buckets,
 			NonIC:   r.Table1.NonIC,
@@ -108,7 +106,6 @@ func (r *PaperScaleResult) JSON() PaperScaleJSON {
 			ReachedFraction: p.ReachedFraction(),
 			MedianOnset:     p.MedianOnset(),
 			MaxNodeUsed:     p.Agg.MaxNodeUsedMax,
-			TreesPerSec:     p.Sweep.TreesPerSec,
 			CDFX:            xs,
 			CDFY:            p.OnsetCDF(xs),
 		})

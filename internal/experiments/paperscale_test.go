@@ -44,7 +44,7 @@ func TestPaperScaleSmoke(t *testing.T) {
 		t.Fatalf("render missing sections:\n%s", sb.String())
 	}
 	j := r.JSON()
-	if j.Schema != "bwcs-paperscale/v1" || j.Tasks != 10_000 || len(j.Protocols) != 4 {
+	if j.Schema != "bwcs-paperscale/v2" || j.Tasks != 10_000 || len(j.Protocols) != 4 || j.TreesPerSec <= 0 {
 		t.Fatalf("artifact malformed: %+v", j)
 	}
 	for _, p := range j.Protocols {

@@ -3,11 +3,13 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"bwcs/internal/engine"
 	"bwcs/internal/protocol"
 )
 
@@ -92,12 +94,16 @@ func TestParallelForDrainsWorkers(t *testing.T) {
 	}
 }
 
-// TestProgressCallbackMonotone: Progress reports strictly increasing
-// done counts, ends at the population size, and fires once per tree per
-// protocol.
+// TestProgressCallbackMonotone: Progress fires once per tree, after
+// every protocol has run on that tree — done goes 1..Trees exactly once
+// per call, strictly increasing, and each report trails the outcomes it
+// counts.
 func TestProgressCallbackMonotone(t *testing.T) {
 	o := tinyOptions()
 	o.Workers = 4
+	protos := []protocol.Protocol{protocol.Interruptible(3), protocol.NonInterruptible(1)}
+	var outcomes atomic.Int64
+	o.Observer = func(TreeOutcome) { outcomes.Add(1) }
 	var mu sync.Mutex
 	var calls int
 	last := 0
@@ -107,19 +113,21 @@ func TestProgressCallbackMonotone(t *testing.T) {
 		if total != o.Trees {
 			t.Errorf("total = %d, want %d", total, o.Trees)
 		}
-		if done != last+1 && done != 1 { // resets to 1 at each new population
+		if done != last+1 {
 			t.Errorf("done jumped %d -> %d", last, done)
+		}
+		if seen := outcomes.Load(); seen < int64(done*len(protos)) {
+			t.Errorf("done = %d reported after only %d outcomes, want >= %d", done, seen, done*len(protos))
 		}
 		last = done
 		calls++
 	}
-	protos := []protocol.Protocol{protocol.Interruptible(3), protocol.NonInterruptible(1)}
 	pops, err := RunPopulation(o, protos)
 	if err != nil {
 		t.Fatalf("RunPopulation: %v", err)
 	}
-	if want := o.Trees * len(protos); calls != want {
-		t.Fatalf("progress calls = %d, want %d", calls, want)
+	if calls != o.Trees {
+		t.Fatalf("progress calls = %d, want %d", calls, o.Trees)
 	}
 	if last != o.Trees {
 		t.Fatalf("final done = %d, want %d", last, o.Trees)
@@ -164,5 +172,65 @@ func TestSweepAggregateDeterministic(t *testing.T) {
 	b.FreeListHits, b.EventAllocs = 0, 0
 	if a != b {
 		t.Fatalf("aggregate metrics differ by worker count:\nserial:   %+v\nparallel: %+v", a, b)
+	}
+}
+
+// TestRunPopulationMatchesEvaluateTree: the tree-major sweep, which
+// builds each tree and its Theorem-1 weight once and runs every protocol
+// on it, returns exactly what standalone per-(tree, protocol)
+// evaluations return — every outcome, the streaming aggregate and the
+// engine aggregate — at any worker count, materialized or streaming.
+func TestRunPopulationMatchesEvaluateTree(t *testing.T) {
+	o := tinyOptions()
+	protos := []protocol.Protocol{
+		protocol.Interruptible(3),
+		protocol.NonInterruptible(1), // buffer growth
+		protocol.NonInterruptibleFixed(3).WithOrder(protocol.Random),
+	}
+	want := make([][]TreeOutcome, len(protos))
+	wantAgg := make([]*PopulationAgg, len(protos))
+	wantEngine := make([]engine.Metrics, len(protos))
+	for pi, p := range protos {
+		wantAgg[pi] = NewPopulationAgg()
+		for i := 0; i < o.Trees; i++ {
+			oc, res, err := EvaluateTree(o, p, i, nil)
+			if err != nil {
+				t.Fatalf("EvaluateTree(%v, %d): %v", p, i, err)
+			}
+			want[pi] = append(want[pi], oc)
+			wantAgg[pi].Observe(oc)
+			wantEngine[pi].Add(res.Metrics)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		for _, stream := range []bool{false, true} {
+			o.Workers, o.Stream = workers, stream
+			pops, err := RunPopulation(o, protos)
+			if err != nil {
+				t.Fatalf("workers=%d stream=%v: %v", workers, stream, err)
+			}
+			for pi, p := range pops {
+				if p.Protocol != protos[pi] {
+					t.Fatalf("workers=%d stream=%v: population %d is %v, want %v", workers, stream, pi, p.Protocol, protos[pi])
+				}
+				if stream != (p.Outcomes == nil) || (!stream && len(p.Outcomes) != o.Trees) {
+					t.Fatalf("workers=%d stream=%v: %v materialized %d outcomes", workers, stream, p.Protocol, len(p.Outcomes))
+				}
+				for i, oc := range p.Outcomes {
+					if oc != want[pi][i] {
+						t.Fatalf("workers=%d: %v tree %d: sweep %+v, standalone %+v", workers, p.Protocol, i, oc, want[pi][i])
+					}
+				}
+				if !reflect.DeepEqual(p.Agg, wantAgg[pi]) {
+					t.Fatalf("workers=%d stream=%v: %v aggregate differs from the standalone runs'", workers, stream, p.Protocol)
+				}
+				got, exp := p.Sweep.Engine, wantEngine[pi]
+				got.FreeListHits, got.EventAllocs = 0, 0
+				exp.FreeListHits, exp.EventAllocs = 0, 0
+				if got != exp {
+					t.Fatalf("workers=%d stream=%v: %v engine aggregate\nsweep:      %+v\nstandalone: %+v", workers, stream, p.Protocol, got, exp)
+				}
+			}
+		}
 	}
 }

@@ -102,15 +102,16 @@ func TestStreamingObserver(t *testing.T) {
 // outside the aggregation lock, so a callback that stalls cannot
 // serialize the sweep — every other worker keeps simulating while the
 // report is stuck, and the stalled reporter later drains the backlog in
-// order. Under the old behaviour (callback invoked under the lock) this
-// test deadlocks.
+// order, once per tree. Under the old behaviour (callback invoked under
+// the lock) this test deadlocks.
 func TestProgressSlowCallbackDoesNotBlockWorkers(t *testing.T) {
 	o := tinyOptions()
 	o.Workers = 4
+	protos := []protocol.Protocol{protocol.Interruptible(3), protocol.NonInterruptible(1)}
 	allDone := make(chan struct{})
 	var outcomes atomic.Int64
 	o.Observer = func(TreeOutcome) {
-		if outcomes.Add(1) == int64(o.Trees) {
+		if outcomes.Add(1) == int64(o.Trees*len(protos)) {
 			close(allDone)
 		}
 	}
@@ -118,11 +119,12 @@ func TestProgressSlowCallbackDoesNotBlockWorkers(t *testing.T) {
 	o.Progress = func(done, total int) {
 		seen = append(seen, done)
 		if done == 1 {
-			// Stall the first report until every tree has simulated.
+			// Stall the first report until every protocol has simulated
+			// every tree.
 			<-allDone
 		}
 	}
-	if _, err := RunPopulation(o, []protocol.Protocol{protocol.Interruptible(3)}); err != nil {
+	if _, err := RunPopulation(o, protos); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != o.Trees {

@@ -204,7 +204,7 @@ type Stats struct {
 
 	// Result-path delivery counters.
 	ResultAcks       int64 // ledger entries retired by a parent's result ack
-	ResultsReplayed  int64 // unacked results retransmitted (reconnect replay or retry)
+	ResultsReplayed  int64 // replays attempted: unacked results picked for retransmission (reconnect replay or retry)
 	ResultsDeduped   int64 // duplicate results suppressed before relay/collection
 	RequeuedOnRevive int64 // tasks requeued by revive-time reconciliation (subset of Requeued)
 
@@ -1516,7 +1516,7 @@ func (n *Node) resultFlusher() {
 	var frames []*message
 	var msgs []message
 	for {
-		batch, c, replays := n.dueResultBatch()
+		batch, c := n.dueResultBatch()
 		if len(batch) == 0 {
 			var timerC <-chan time.Time
 			var timer *time.Timer
@@ -1562,7 +1562,6 @@ func (n *Node) resultFlusher() {
 			e.sentOn = c
 			e.sentAt = now
 		}
-		n.stats.ResultsReplayed += int64(replays)
 		n.mu.Unlock()
 		if err != nil && !n.isClosed() {
 			// Dead uplink: the supervisor will reconnect and wake us; the
@@ -1586,14 +1585,16 @@ const maxResultBatch = 128
 // dueResultBatch snapshots, in ledger (arrival) order, every entry due
 // on the wire: entries never written to the current uplink (first send,
 // or replay after a reconnect) and — when retransmission is enabled —
-// entries unacked past the retry deadline. replays counts the entries
-// being retransmitted rather than first-sent.
-func (n *Node) dueResultBatch() (batch []*resultEntry, c *conn, replays int) {
+// entries unacked past the retry deadline. Every entry being
+// retransmitted rather than first-sent counts toward ResultsReplayed
+// here, in the critical section that decides the replay, so the counter
+// is never behind a replay the parent may already have received.
+func (n *Node) dueResultBatch() (batch []*resultEntry, c *conn) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	c = n.parent
 	if c == nil || len(n.unacked) == 0 {
-		return nil, nil, 0
+		return nil, nil
 	}
 	retry := n.cfg.ResultRetry
 	for _, e := range n.unacked {
@@ -1605,14 +1606,14 @@ func (n *Node) dueResultBatch() (batch []*resultEntry, c *conn, replays int) {
 			continue
 		}
 		if e.sentOn != nil {
-			replays++
+			n.stats.ResultsReplayed++
 		}
 		batch = append(batch, e)
 		if len(batch) == maxResultBatch {
 			break
 		}
 	}
-	return batch, c, replays
+	return batch, c
 }
 
 // resultRetryWait reports how long the flusher may sleep before the

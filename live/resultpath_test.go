@@ -358,7 +358,7 @@ func TestResultLedgerOrderAndRetire(t *testing.T) {
 	// 3 (sent on the old link) — a replay interleaved with fresh sends.
 	n.unacked = []*resultEntry{mk(1, oldC), mk(2, nil), mk(3, oldC)}
 
-	batch, c, replays := n.dueResultBatch()
+	batch, c := n.dueResultBatch()
 	if c != newC {
 		t.Fatalf("batch scheduled on the wrong conn")
 	}
@@ -371,14 +371,14 @@ func TestResultLedgerOrderAndRetire(t *testing.T) {
 			t.Fatalf("step %d: scheduled task %d, want %d", i, batch[i].res.ID, want)
 		}
 	}
-	if replays != 2 {
-		t.Fatalf("replays = %d, want 2 (entries written to the old conn)", replays)
+	if got := n.stats.ResultsReplayed; got != 2 {
+		t.Fatalf("ResultsReplayed = %d, want 2 (entries written to the old conn)", got)
 	}
 	for _, e := range batch {
 		e.sentOn = newC
 		e.sentAt = time.Now()
 	}
-	if again, _, _ := n.dueResultBatch(); len(again) != 0 {
+	if again, _ := n.dueResultBatch(); len(again) != 0 {
 		t.Fatalf("entry %d scheduled with everything sent and retry disabled", again[0].res.ID)
 	}
 

@@ -240,7 +240,7 @@ func metricsSnapshot(st Stats, buffered, connected, children int64) metrics.Snap
 		counter("live_heartbeat_misses_total", "supervision intervals that passed with a silent link", st.HeartbeatMisses),
 		counter("live_send_errors_total", "ack sends that failed on a dying link (replay covers them)", st.SendErrors),
 		counter("live_result_acks_total", "unacked-ledger entries retired by a parent's result ack", st.ResultAcks),
-		counter("live_results_replayed_total", "unacked results retransmitted (reconnect replay or retry)", st.ResultsReplayed),
+		counter("live_results_replayed_total", "replays attempted: unacked results picked for retransmission (reconnect replay or retry)", st.ResultsReplayed),
 		counter("live_results_deduped_total", "duplicate results suppressed before relay or collection", st.ResultsDeduped),
 		counter("live_tasks_requeued_on_revive_total", "tasks requeued by revive-time reconciliation", st.RequeuedOnRevive),
 		counter("live_recorder_dropped_total", "flight-recorder events evicted by ring overflow", st.RecorderDropped),
