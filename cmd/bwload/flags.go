@@ -18,7 +18,6 @@ type loadConfig struct {
 	compute     time.Duration
 	rootCompute time.Duration
 	waveTimeout time.Duration
-	codec       string
 	jsonOut     string
 	sloP99      time.Duration
 	sloFPS      float64
@@ -44,7 +43,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*loadConfig, error) {
 	fs.DurationVar(&cfg.rootCompute, "root-compute", 25*time.Millisecond,
 		"per-task stall at the root, kept slow so tasks cross the wire")
 	fs.DurationVar(&cfg.waveTimeout, "wave-timeout", 2*time.Minute, "per-wave deadline")
-	fs.StringVar(&cfg.codec, "codec", "auto", "wire codec pin: auto, binary, or gob")
 	fs.StringVar(&cfg.jsonOut, "json", "", "write the JSON report to this file (\"-\" = stdout)")
 	fs.DurationVar(&cfg.sloP99, "slo-p99", 0, "fail when p99 wave latency exceeds this (0 = off)")
 	fs.Float64Var(&cfg.sloFPS, "slo-frames-per-sec", 0, "fail when wire frames/sec falls below this (0 = off)")

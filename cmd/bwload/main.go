@@ -2,7 +2,7 @@
 // in-process live overlay — one root, N children — and reports wire
 // throughput, wave latency percentiles, and allocation pressure. It is
 // the repository's load generator for the data plane: the same tree,
-// codecs, and chunking knobs as a deployed bwnode overlay, but with
+// wire framing, and chunking knobs as a deployed bwnode overlay, but with
 // every node in one process so frames/sec and allocs/task are
 // measurable without network noise.
 //
@@ -17,8 +17,8 @@
 // violated SLO makes bwload exit non-zero, so a CI job can assert the
 // data plane's performance, not just its correctness.
 //
-//	bwload -children 2 -tasks 256 -waves 8 -codec binary -json -
-//	bwload -codec gob -slo-frames-per-sec 5000
+//	bwload -children 2 -tasks 256 -waves 8 -json -
+//	bwload -wire-only -slo-frames-per-sec 5000
 package main
 
 import (
@@ -41,11 +41,14 @@ func main() {
 	}
 }
 
+// reportSchema versions the -json report. v2 dropped the codec field:
+// the live plane speaks one wire codec.
+const reportSchema = "bwcs-load/v2"
+
 // report is the machine-readable run summary (-json).
 type report struct {
-	Schema   string `json:"schema"` // "bwcs-load/v1"
+	Schema   string `json:"schema"` // "bwcs-load/v2"
 	Mode     string `json:"mode"`   // "waves" or "wire-only"
-	Codec    string `json:"codec"`
 	Children int    `json:"children"`
 	Tasks    int    `json:"tasksPerWave"`
 	Waves    int    `json:"waves"`
@@ -74,17 +77,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var pin []live.Codec
-	switch cfg.codec {
-	case "auto":
-	case "binary":
-		pin = []live.Codec{live.CodecBinary}
-	case "gob":
-		pin = []live.Codec{live.CodecGob}
-	default:
-		return fmt.Errorf("-codec must be auto, binary, or gob (got %q)", cfg.codec)
-	}
-
 	if cfg.wireOnly {
 		return runWireOnly(cfg, out)
 	}
@@ -109,9 +101,6 @@ func run(args []string, out io.Writer) error {
 		live.WithBuffers(cfg.buffers),
 		live.WithChunkSize(cfg.chunk),
 	}
-	if pin != nil {
-		rootOpts = append(rootOpts, live.WithWireCodecs(pin...))
-	}
 	if cfg.batch != 0 {
 		rootOpts = append(rootOpts, live.WithChunkBatch(cfg.batch))
 	}
@@ -128,9 +117,6 @@ func run(args []string, out io.Writer) error {
 			live.WithCompute(childCompute),
 			live.WithBuffers(cfg.buffers),
 			live.WithChunkSize(cfg.chunk),
-		}
-		if pin != nil {
-			opts = append(opts, live.WithWireCodecs(pin...))
 		}
 		if cfg.batch != 0 {
 			opts = append(opts, live.WithChunkBatch(cfg.batch))
@@ -197,9 +183,8 @@ func run(args []string, out io.Writer) error {
 	totalTasks := cfg.waves * cfg.tasks
 	hist := histFamily(reg.Snapshot(), "load_wave_milliseconds")
 	rep := report{
-		Schema:   "bwcs-load/v1",
+		Schema:   reportSchema,
 		Mode:     "waves",
-		Codec:    cfg.codec,
 		Children: cfg.children,
 		Tasks:    cfg.tasks,
 		Waves:    cfg.waves,
@@ -228,8 +213,8 @@ func run(args []string, out io.Writer) error {
 	}
 
 	return emit(cfg, &rep, out, func(w io.Writer) {
-		fmt.Fprintf(w, "%s codec, %d children, %d waves x %d tasks x %dB:\n",
-			cfg.codec, cfg.children, cfg.waves, cfg.tasks, cfg.size)
+		fmt.Fprintf(w, "%d children, %d waves x %d tasks x %dB:\n",
+			cfg.children, cfg.waves, cfg.tasks, cfg.size)
 		fmt.Fprintf(w, "  %.0f tasks/s, %.0f frames/s, %.1f MB/s wire\n",
 			rep.TasksPerSec, rep.FramesPerSec, rep.BytesPerSec/1e6)
 		fmt.Fprintf(w, "  wave p50 %.0fms, p99 %.0fms; %.0f allocs/task\n",
@@ -239,28 +224,22 @@ func run(args []string, out io.Writer) error {
 
 // runWireOnly measures the raw data plane through live.WireBench: the
 // same framed connections the overlay runs on, minus the scheduling
-// engine — the codec comparison without round-trip noise. -codec auto
-// resolves to binary (there is no peer to negotiate with).
+// engine — the codec's cost without round-trip noise.
 func runWireOnly(cfg *loadConfig, out io.Writer) error {
-	codec := live.CodecBinary
-	if cfg.codec == "gob" {
-		codec = live.CodecGob
-	}
 	batch := cfg.batch
 	if batch == 0 {
 		batch = 8
 	}
 	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
-	res, err := live.WireBench(codec, cfg.children, cfg.wireFrames, cfg.size, batch)
+	res, err := live.WireBench(live.CodecBinary, cfg.children, cfg.wireFrames, cfg.size, batch)
 	if err != nil {
 		return err
 	}
 	runtime.ReadMemStats(&msAfter)
 	rep := report{
-		Schema:   "bwcs-load/v1",
+		Schema:   reportSchema,
 		Mode:     "wire-only",
-		Codec:    codec.String(),
 		Children: cfg.children,
 		Size:     cfg.size,
 		Chunk:    cfg.chunk,
@@ -277,8 +256,8 @@ func runWireOnly(cfg *loadConfig, out io.Writer) error {
 			fmt.Sprintf("%.0f frames/sec below SLO floor %.0f", rep.FramesPerSec, cfg.sloFPS))
 	}
 	return emit(cfg, &rep, out, func(w io.Writer) {
-		fmt.Fprintf(w, "%s codec, wire only, %d links x %d frames x %dB (batch %d):\n",
-			rep.Codec, cfg.children, cfg.wireFrames, cfg.size, batch)
+		fmt.Fprintf(w, "wire only, %d links x %d frames x %dB (batch %d):\n",
+			cfg.children, cfg.wireFrames, cfg.size, batch)
 		fmt.Fprintf(w, "  %.0f frames/s, %.1f MB/s wire, %.2f allocs/frame\n",
 			rep.FramesPerSec, rep.BytesPerSec/1e6, rep.AllocsPerFrame)
 	})
@@ -318,7 +297,7 @@ func emit(cfg *loadConfig, rep *report, out io.Writer, text func(io.Writer)) err
 // wireTotals sums the wire volume counters over every node in the tree.
 // Each node counts both directions of its own links, so the total counts
 // every frame twice (once sent, once received) — deltas and ratios are
-// what matter, and they are codec-comparable.
+// what matter.
 func wireTotals(nodes []*live.Node) (frames, bytes int64) {
 	for _, n := range nodes {
 		s := n.Stats()

@@ -33,29 +33,39 @@ func TestParallelForWrapsFailingIndex(t *testing.T) {
 	}
 }
 
+// failAt is the error a failing call returns; it names its own index so
+// the reported error can be checked against the call it wraps.
+type failAt int
+
+func (f failAt) Error() string { return fmt.Sprintf("fail-%d", int(f)) }
+
 // TestParallelForFirstErrorWins: when several indices fail, the reported
-// error is the first failure that was recorded, and later failures never
-// overwrite it.
+// error is one recorded failure, intact — the index in its message and
+// the error it wraps name the same failing call. Which of several
+// concurrent failures records first is the scheduler's choice, so the
+// winner is read from the error itself; with one worker the first
+// failing index, 7, is the only possible winner.
 func TestParallelForFirstErrorWins(t *testing.T) {
-	var order []int
-	var mu sync.Mutex
-	err := parallelFor(40, 4, func(_, i int) error {
-		if i%10 == 7 { // indices 7, 17, 27, 37 fail
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-			return fmt.Errorf("fail-%d", i)
+	for _, workers := range []int{1, 4} {
+		err := parallelFor(40, workers, func(_, i int) error {
+			if i%10 == 7 { // indices 7, 17, 27, 37 fail
+				return failAt(i)
+			}
+			return nil
+		})
+		var f failAt
+		if !errors.As(err, &f) {
+			t.Fatalf("workers=%d: err = %v, want a wrapped failAt", workers, err)
 		}
-		return nil
-	})
-	if err == nil {
-		t.Fatalf("no error returned")
-	}
-	mu.Lock()
-	first := order[0]
-	mu.Unlock()
-	if want := fmt.Sprintf("experiments: index %d: fail-%d", first, first); err.Error() != want {
-		t.Fatalf("err = %q, want the first recorded failure %q", err, want)
+		if f%10 != 7 {
+			t.Fatalf("workers=%d: reported index %d never failed", workers, f)
+		}
+		if want := fmt.Sprintf("experiments: index %d: fail-%d", f, f); err.Error() != want {
+			t.Fatalf("workers=%d: err = %q, want %q", workers, err, want)
+		}
+		if workers == 1 && f != 7 {
+			t.Fatalf("serial: reported index %d, want the first failure 7", f)
+		}
 	}
 }
 

@@ -8,78 +8,16 @@ import (
 	"io"
 )
 
-// Codec identifies a wire codec version. The hello handshake negotiates
-// one per connection: the child advertises every version it speaks, the
-// parent answers with the highest version both sides share, and all
-// frames after the hello-ack use the winner. The handshake frames
-// themselves are always gob — the one format every build speaks — so a
-// peer that predates versioning simply advertises nothing and keeps its
-// gob stream, in both directions.
+// Codec identifies a wire codec. The live plane speaks exactly one,
+// CodecBinary, from a connection's first byte; the type survives so
+// WireBench callers keep naming the codec they measure.
 type Codec uint8
 
-const (
-	// CodecGob is the original stream: one gob-encoded message envelope
-	// per frame. It is never advertised explicitly — every peer speaks
-	// it, and it is the floor the negotiation falls back to.
-	CodecGob Codec = 0
-	// CodecBinary is the length-prefixed binary framing: a uvarint body
-	// length followed by an explicitly encoded body (see appendFrame for
-	// the layout). Per-conn buffers are reused across frames, so
-	// steady-state encode and decode allocate nothing.
-	CodecBinary Codec = 1
-)
-
-// supportedWireCodecs is every codec this build offers beyond the
-// implied gob floor, in no particular order (negotiation picks the
-// highest common version).
-var supportedWireCodecs = []Codec{CodecBinary}
-
-func codecSupported(c Codec) bool {
-	for _, s := range supportedWireCodecs {
-		if s == c {
-			return true
-		}
-	}
-	return false
-}
-
-func (c Codec) String() string {
-	switch c {
-	case CodecGob:
-		return "gob"
-	case CodecBinary:
-		return "binary"
-	default:
-		return fmt.Sprintf("codec(%d)", uint8(c))
-	}
-}
-
-// codecBytes renders an offer list as the wire form carried in a hello's
-// Codecs field. Gob is the implied floor, so it is never listed.
-func codecBytes(cs []Codec) []uint8 {
-	var out []uint8
-	for _, c := range cs {
-		if c != CodecGob {
-			out = append(out, uint8(c))
-		}
-	}
-	return out
-}
-
-// negotiateCodec picks the highest codec version present in both offer
-// lists; gob is always common, so an empty intersection downgrades
-// rather than fails.
-func negotiateCodec(ours []Codec, theirs []uint8) Codec {
-	best := CodecGob
-	for _, o := range ours {
-		for _, t := range theirs {
-			if uint8(o) == t && o > best {
-				best = o
-			}
-		}
-	}
-	return best
-}
+// CodecBinary is the length-prefixed binary framing: a uvarint body
+// length followed by an explicitly encoded body (see appendFrame for the
+// layout). Per-conn buffers are reused across frames, so steady-state
+// encode and decode allocate nothing.
+const CodecBinary Codec = 1
 
 const (
 	// maxFrameBytes bounds a binary frame's declared body length. A
@@ -147,12 +85,10 @@ func appendFrame(buf []byte, m *message) ([]byte, error) {
 			buf = binary.AppendUvarint(buf, rp.Task)
 			buf = binary.AppendUvarint(buf, uint64(rp.Offset))
 		}
-		buf = appendBytesField(buf, m.Codecs)
 	case kindHelloAck:
 		buf = appendStringField(buf, m.Name)
 		buf = appendBool(buf, m.Revived)
 		buf = appendU64Field(buf, m.Accepted)
-		buf = appendBytesField(buf, m.Codecs)
 	case kindRequest:
 		buf = binary.AppendUvarint(buf, uint64(m.N))
 		buf = appendStringField(buf, m.App)
@@ -446,9 +382,6 @@ func decodeFrame(data []byte, m *message, in *interner) error {
 				}
 			}
 		}
-		if m.Codecs, err = r.rawCopy(); err != nil {
-			return err
-		}
 	case kindHelloAck:
 		if b, err = r.raw(); err != nil {
 			return err
@@ -458,9 +391,6 @@ func decodeFrame(data []byte, m *message, in *interner) error {
 			return err
 		}
 		if m.Accepted, err = r.u64s(); err != nil {
-			return err
-		}
-		if m.Codecs, err = r.rawCopy(); err != nil {
 			return err
 		}
 	case kindRequest:

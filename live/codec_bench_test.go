@@ -3,8 +3,6 @@ package live
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
-	"io"
 	"testing"
 )
 
@@ -24,11 +22,9 @@ func benchFrames() []message {
 	}
 }
 
-// BenchmarkEncodeFrame pits the two wire codecs against each other on
-// the steady-state frame mix, the way each is actually driven: binary
-// re-uses the conn's append buffer, gob keeps one persistent encoder
-// per conn (its type dictionary is sent once, like on a long-lived
-// link) writing through the conn's scratch copy.
+// BenchmarkEncodeFrame measures the encoder on the steady-state frame
+// mix the way a conn drives it, re-using one append buffer. The
+// sub-benchmark keeps the name the committed baselines record.
 func BenchmarkEncodeFrame(b *testing.B) {
 	mix := benchFrames()
 
@@ -45,26 +41,11 @@ func BenchmarkEncodeFrame(b *testing.B) {
 			}
 		}
 	})
-
-	b.Run("gob", func(b *testing.B) {
-		enc := gob.NewEncoder(io.Discard)
-		var scratch message
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			scratch = mix[i%len(mix)]
-			if err := enc.Encode(&scratch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkDecodeFrame measures the read side over a pre-encoded
-// stream: binary through readFrame + decodeFrame with the conn's
-// reusable buffers and interner, gob through a persistent decoder whose
-// re-creation on stream wrap is amortized over streamFrames messages
-// (a reconnect every streamFrames frames, far more often than reality).
+// stream: readFrame + decodeFrame with the conn's reusable buffers and
+// interner, the stream rewound every streamFrames frames.
 func BenchmarkDecodeFrame(b *testing.B) {
 	const streamFrames = 4096
 	mix := benchFrames()
@@ -99,32 +80,6 @@ func BenchmarkDecodeFrame(b *testing.B) {
 				b.Fatal(err)
 			}
 			if err := decodeFrame(body, &m, &in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("gob", func(b *testing.B) {
-		var stream bytes.Buffer
-		enc := gob.NewEncoder(&stream)
-		for i := 0; i < streamFrames; i++ {
-			if err := enc.Encode(&mix[i%len(mix)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		raw := stream.Bytes()
-		r := bytes.NewReader(raw)
-		dec := gob.NewDecoder(r)
-		b.SetBytes(int64(len(raw) / streamFrames))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%streamFrames == 0 {
-				r.Reset(raw)
-				dec = gob.NewDecoder(r)
-			}
-			var m message
-			if err := dec.Decode(&m); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"net"
+	"os"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -14,15 +17,14 @@ import (
 // sampleFrames returns one fully populated message per wire kind: every
 // field the kind carries on the wire is set to a distinctive value, and
 // no field it does not carry is set — so a decoded frame must DeepEqual
-// its sample under BOTH codecs, pinning the two field projections to
-// each other byte for byte.
+// its sample, pinning the encoder and decoder to the same per-kind
+// field projection.
 func sampleFrames() []*message {
 	return []*message{
 		{Kind: kindHello, Seq: 101, TraceSeq: 11, TraceNode: "w1",
 			Name:    "w1",
 			Resume:  []ResumePoint{{Task: 7, Offset: 4096}, {Task: 9, Offset: 0}},
-			Holding: []uint64{3, 7, 9, 1 << 40},
-			Codecs:  []uint8{1, 7}},
+			Holding: []uint64{3, 7, 9, 1 << 40}},
 		{Kind: kindRequest, Seq: 102, TraceSeq: 12, TraceNode: "w1",
 			N: 3, App: "tenant-a"},
 		{Kind: kindChunk, Seq: 103, TraceSeq: 13, TraceNode: "root",
@@ -35,16 +37,16 @@ func sampleFrames() []*message {
 		{Kind: kindChunkAck, Seq: 107, TraceSeq: 17, TraceNode: "w1",
 			Task: 42, Offset: 8192, Last: true},
 		{Kind: kindHelloAck, Seq: 108, TraceSeq: 18, TraceNode: "root",
-			Name: "root", Revived: true, Accepted: []uint64{7, 9}, Codecs: []uint8{1}},
+			Name: "root", Revived: true, Accepted: []uint64{7, 9}},
 		{Kind: kindGoodbye, Seq: 109, TraceSeq: 19, TraceNode: "w1"},
 		{Kind: kindResultAck, Seq: 110, TraceSeq: 20, TraceNode: "root",
 			Task: 42, Origin: "w1-leaf"},
 	}
 }
 
-// TestSampleFramesCoverEveryKind pins the conformance matrix to the wire
+// TestSampleFramesCoverEveryKind pins the conformance test to the wire
 // protocol: adding a wire kind without a sample frame fails here, so the
-// cross-codec matrix below can never silently skip a kind.
+// round-trip checks below can never silently skip a kind.
 func TestSampleFramesCoverEveryKind(t *testing.T) {
 	seen := map[msgKind]bool{}
 	for _, m := range sampleFrames() {
@@ -86,37 +88,16 @@ func binaryRoundTrip(t *testing.T, m *message, in *interner) *message {
 	return &out
 }
 
-func gobRoundTrip(t *testing.T, m *message) *message {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		t.Fatalf("gob encode(kind %d): %v", m.Kind, err)
-	}
-	var out message
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("gob decode(kind %d): %v", m.Kind, err)
-	}
-	return &out
-}
-
-// TestCodecConformanceMatrix round-trips every wire kind binary↔binary
-// and gob↔gob, and pins the two decodes equal to each other field by
-// field — trace context, App tags, and negotiation fields included. A
-// field the binary codec forgets to carry (or carries differently)
-// breaks the cross-codec equality immediately.
+// TestCodecConformanceMatrix round-trips every wire kind through the
+// production encode and read path and requires the decode to equal the
+// sample field by field — trace context, App tags and handshake fields
+// included. A field the codec forgets to carry (or carries differently)
+// fails here immediately.
 func TestCodecConformanceMatrix(t *testing.T) {
 	var in interner
 	for _, m := range sampleFrames() {
-		bin := binaryRoundTrip(t, m, &in)
-		if !reflect.DeepEqual(bin, m) {
-			t.Errorf("kind %d: binary round-trip mismatch\n got %+v\nwant %+v", m.Kind, bin, m)
-		}
-		g := gobRoundTrip(t, m)
-		if !reflect.DeepEqual(g, m) {
-			t.Errorf("kind %d: gob round-trip mismatch\n got %+v\nwant %+v", m.Kind, g, m)
-		}
-		if !reflect.DeepEqual(bin, g) {
-			t.Errorf("kind %d: binary and gob decodes disagree\nbinary %+v\n   gob %+v", m.Kind, bin, g)
+		if got := binaryRoundTrip(t, m, &in); !reflect.DeepEqual(got, m) {
+			t.Errorf("kind %d: round-trip mismatch\n got %+v\nwant %+v", m.Kind, got, m)
 		}
 	}
 }
@@ -153,128 +134,138 @@ func TestBinaryFramesAreContiguous(t *testing.T) {
 	}
 }
 
-// negotiatedCodecs reports the codec each side of a single-child overlay
-// actually speaks, read from the live conns.
-func negotiatedCodecs(t *testing.T, root, w *Node) (parentSide, childSide Codec) {
-	t.Helper()
-	root.mu.Lock()
-	if len(root.children) != 1 {
-		root.mu.Unlock()
-		t.Fatalf("root has %d children, want 1", len(root.children))
-	}
-	parentSide = root.children[0].c.codec
-	root.mu.Unlock()
-	w.mu.Lock()
-	if w.parent == nil {
-		w.mu.Unlock()
-		t.Fatalf("worker has no uplink")
-	}
-	childSide = w.parent.codec
-	w.mu.Unlock()
-	return parentSide, childSide
+// legacyGobHello is a hello as nodes that predate the binary framing
+// sent it: a gob stream carrying the type definition of the old message
+// envelope, then message{Kind: kindHello, Name: "legacy", Codecs: [1]}.
+var legacyGobHello = []byte{
+	0xff, 0xda, 0x7f, 0x03, 0x01, 0x01, 0x07, 0x6d, 0x65, 0x73, 0x73, 0x61,
+	0x67, 0x65, 0x01, 0xff, 0x80, 0x00, 0x01, 0x13, 0x01, 0x04, 0x4b, 0x69,
+	0x6e, 0x64, 0x01, 0x06, 0x00, 0x01, 0x04, 0x4e, 0x61, 0x6d, 0x65, 0x01,
+	0x0c, 0x00, 0x01, 0x06, 0x52, 0x65, 0x73, 0x75, 0x6d, 0x65, 0x01, 0xff,
+	0x84, 0x00, 0x01, 0x07, 0x48, 0x6f, 0x6c, 0x64, 0x69, 0x6e, 0x67, 0x01,
+	0xff, 0x86, 0x00, 0x01, 0x07, 0x52, 0x65, 0x76, 0x69, 0x76, 0x65, 0x64,
+	0x01, 0x02, 0x00, 0x01, 0x08, 0x41, 0x63, 0x63, 0x65, 0x70, 0x74, 0x65,
+	0x64, 0x01, 0xff, 0x86, 0x00, 0x01, 0x01, 0x4e, 0x01, 0x04, 0x00, 0x01,
+	0x04, 0x54, 0x61, 0x73, 0x6b, 0x01, 0x06, 0x00, 0x01, 0x04, 0x53, 0x69,
+	0x7a, 0x65, 0x01, 0x04, 0x00, 0x01, 0x06, 0x4f, 0x66, 0x66, 0x73, 0x65,
+	0x74, 0x01, 0x04, 0x00, 0x01, 0x04, 0x44, 0x61, 0x74, 0x61, 0x01, 0x0a,
+	0x00, 0x01, 0x04, 0x4c, 0x61, 0x73, 0x74, 0x01, 0x02, 0x00, 0x01, 0x06,
+	0x4f, 0x75, 0x74, 0x70, 0x75, 0x74, 0x01, 0x0a, 0x00, 0x01, 0x06, 0x4f,
+	0x72, 0x69, 0x67, 0x69, 0x6e, 0x01, 0x0c, 0x00, 0x01, 0x03, 0x53, 0x65,
+	0x71, 0x01, 0x06, 0x00, 0x01, 0x09, 0x54, 0x72, 0x61, 0x63, 0x65, 0x4e,
+	0x6f, 0x64, 0x65, 0x01, 0x0c, 0x00, 0x01, 0x08, 0x54, 0x72, 0x61, 0x63,
+	0x65, 0x53, 0x65, 0x71, 0x01, 0x06, 0x00, 0x01, 0x03, 0x41, 0x70, 0x70,
+	0x01, 0x0c, 0x00, 0x01, 0x06, 0x43, 0x6f, 0x64, 0x65, 0x63, 0x73, 0x01,
+	0x0a, 0x00, 0x00, 0x00, 0x21, 0xff, 0x83, 0x02, 0x01, 0x01, 0x12, 0x5b,
+	0x5d, 0x6c, 0x69, 0x76, 0x65, 0x2e, 0x52, 0x65, 0x73, 0x75, 0x6d, 0x65,
+	0x50, 0x6f, 0x69, 0x6e, 0x74, 0x01, 0xff, 0x84, 0x00, 0x01, 0xff, 0x82,
+	0x00, 0x00, 0x2d, 0xff, 0x81, 0x03, 0x01, 0x01, 0x0b, 0x52, 0x65, 0x73,
+	0x75, 0x6d, 0x65, 0x50, 0x6f, 0x69, 0x6e, 0x74, 0x01, 0xff, 0x82, 0x00,
+	0x01, 0x02, 0x01, 0x04, 0x54, 0x61, 0x73, 0x6b, 0x01, 0x06, 0x00, 0x01,
+	0x06, 0x4f, 0x66, 0x66, 0x73, 0x65, 0x74, 0x01, 0x04, 0x00, 0x00, 0x00,
+	0x16, 0xff, 0x85, 0x02, 0x01, 0x01, 0x08, 0x5b, 0x5d, 0x75, 0x69, 0x6e,
+	0x74, 0x36, 0x34, 0x01, 0xff, 0x86, 0x00, 0x01, 0x06, 0x00, 0x00, 0x10,
+	0xff, 0x80, 0x01, 0x01, 0x01, 0x06, 0x6c, 0x65, 0x67, 0x61, 0x63, 0x79,
+	0x11, 0x01, 0x01, 0x00,
 }
 
-// TestCodecNegotiationMatrix runs a real two-node overlay through every
-// mix of codec pins — binary parent / gob child, gob parent / binary
-// child, both, neither — and checks that the two sides agree on the
-// negotiated codec, that it is the highest common version, and that a
-// full run completes over it.
-func TestCodecNegotiationMatrix(t *testing.T) {
-	cases := []struct {
-		name        string
-		rootCodecs  []Codec
-		childCodecs []Codec
-		want        Codec
-	}{
-		{"both-binary", nil, nil, CodecBinary},
-		{"gob-child", nil, []Codec{CodecGob}, CodecGob},
-		{"gob-parent", []Codec{CodecGob}, nil, CodecGob},
-		{"both-gob", []Codec{CodecGob}, []Codec{CodecGob}, CodecGob},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			root := startNode(t, Config{
-				Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-				Compute: echoCompute(time.Millisecond), WireCodecs: tc.rootCodecs,
-			})
-			w := startNode(t, Config{
-				Name: "w1", Parent: root.Addr(), Buffers: 3,
-				Compute: echoCompute(0), WireCodecs: tc.childCodecs,
-			})
-			tasks := makeTasks(24, 2048)
-			results, err := root.RunTimeout(tasks, 30*time.Second)
-			if err != nil {
-				t.Fatalf("run over %s: %v", tc.name, err)
-			}
-			assertExactlyOnce(t, results, len(tasks))
-			ps, cs := negotiatedCodecs(t, root, w)
-			if ps != tc.want || cs != tc.want {
-				t.Fatalf("negotiated parent=%v child=%v, want %v both sides", ps, cs, tc.want)
-			}
-			if st := w.Stats(); st.FramesSent == 0 || st.FramesReceived == 0 ||
-				st.BytesSent == 0 || st.BytesReceived == 0 {
-				t.Fatalf("wire counters not metered: %+v", st)
-			}
-		})
-	}
-}
-
-// TestVersionSkewHello pins the negotiation floor against future
-// versions: a hello advertising only codec versions this build does not
-// speak negotiates down to gob and the run still completes — a newer
-// peer is never rejected, just downgraded.
-func TestVersionSkewHello(t *testing.T) {
+// TestForeignHelloRejected pins the version policy — reject, never
+// mis-parse: a peer whose first frame is not a binary hello (here the
+// gob hello of a pre-binary build) is closed without a reply, long
+// before HandshakeTimeout, and never becomes a child. A real child that
+// dials next is admitted and the run completes exactly-once.
+func TestForeignHelloRejected(t *testing.T) {
+	const handshake = 10 * time.Second
 	root := startNode(t, Config{
 		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
-		// Slow root compute so the scripted child is actually served a
-		// task; no heartbeats, the script sends none.
-		Compute:           echoCompute(50 * time.Millisecond),
-		HeartbeatInterval: -1,
+		Compute: echoCompute(5 * time.Millisecond), HandshakeTimeout: handshake,
 	})
 
-	// A scripted child whose hello advertises only the (unknown) codec
-	// version 99 — the shape of a build several protocol versions ahead.
 	raw := dialParent(t, root.Addr())
-	enc, dec := gob.NewEncoder(raw), gob.NewDecoder(raw)
-	if err := enc.Encode(&message{Kind: kindHello, Name: "future", Codecs: []uint8{99}}); err != nil {
-		t.Fatalf("hello: %v", err)
+	if _, err := raw.Write(legacyGobHello); err != nil {
+		t.Fatalf("write gob hello: %v", err)
 	}
-	var ack message
-	if err := dec.Decode(&ack); err != nil || ack.Kind != kindHelloAck {
-		t.Fatalf("hello ack: %v (kind %d)", err, ack.Kind)
+	start := time.Now()
+	_ = raw.SetReadDeadline(start.Add(handshake / 2))
+	n, err := raw.Read(make([]byte, 64))
+	if n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("foreign hello: read %d reply bytes (err %v), want the conn closed without a reply", n, err)
 	}
-	if len(ack.Codecs) != 0 {
-		t.Fatalf("parent answered codecs %v to a version-skew hello, want gob floor (none)", ack.Codecs)
-	}
+	t.Logf("foreign hello dropped after %v", time.Since(start))
 
-	// The link speaks gob: request a task, "compute" it, return the
-	// result — all plain gob frames — and the run completes exactly-once.
-	tasks := makeTasks(4, 512)
-	resc := make(chan []Result, 1)
-	errc := make(chan error, 1)
-	go func() {
-		rs, err := root.RunTimeout(tasks, 30*time.Second)
-		resc <- rs
-		errc <- err
-	}()
-	if err := enc.Encode(&message{Kind: kindRequest, N: 1}); err != nil {
-		t.Fatalf("request: %v", err)
-	}
-	id, payload := recvTaskGob(t, dec, enc)
-	if err := enc.Encode(&message{Kind: kindResult, Task: id,
-		Output: payload, Origin: "future"}); err != nil {
-		t.Fatalf("result: %v", err)
-	}
-	go func() { // drain acks/heartbeats so the root's writes never block
-		var m message
-		for dec.Decode(&m) == nil {
-		}
-	}()
-	results := <-resc
-	if err := <-errc; err != nil {
+	startNode(t, Config{Name: "w1", Parent: root.Addr(), Buffers: 3, Compute: echoCompute(0)})
+	tasks := makeTasks(16, 1024)
+	results, err := root.RunTimeout(tasks, 30*time.Second)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	assertExactlyOnce(t, results, len(tasks))
+	root.mu.Lock()
+	defer root.mu.Unlock()
+	if len(root.children) != 1 || root.children[0].name != "w1" {
+		t.Fatalf("root admitted %d children, want only w1", len(root.children))
+	}
+}
+
+// TestSilentDialerDoesNotBlockAdmission: dialers that connect and never
+// send a hello must not hold up the children that dial after them — each
+// handshake waits on its own conn, not in the accept loop — nor the
+// root's Close. The children dial concurrently, so several handshakes
+// are in flight at once.
+func TestSilentDialerDoesNotBlockAdmission(t *testing.T) {
+	const handshake = 3 * time.Second
+	root := startNode(t, Config{
+		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
+		Compute: echoCompute(5 * time.Millisecond), HandshakeTimeout: handshake,
+	})
+	for i := 0; i < 3; i++ {
+		dialParent(t, root.Addr()) // connects, then stays silent
+	}
+
+	start := time.Now()
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for _, name := range []string{"w1", "w2"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, err := StartConfig(Config{
+				Name: name, Parent: root.Addr(), Buffers: 3,
+				Compute: echoCompute(0), HandshakeTimeout: handshake,
+			})
+			if err != nil {
+				errs <- err
+				return
+			}
+			t.Cleanup(func() { w.Close() })
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("start child: %v", err)
+	}
+	tasks := makeTasks(32, 1024)
+	results, err := root.RunTimeout(tasks, 30*time.Second)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	assertExactlyOnce(t, results, len(tasks))
+	if d := time.Since(start); d > handshake/2 {
+		t.Fatalf("child admission and run took %v behind silent dialers, want well under HandshakeTimeout %v", d, handshake)
+	}
+	root.mu.Lock()
+	admitted := len(root.children)
+	root.mu.Unlock()
+	if admitted != 2 {
+		t.Fatalf("root admitted %d children, want w1 and w2 only", admitted)
+	}
+	// Close cuts the silent dialers' handshakes instead of waiting them out.
+	start = time.Now()
+	root.Close()
+	if d := time.Since(start); d > handshake/2 {
+		t.Fatalf("Close took %v with handshakes pending, want well under HandshakeTimeout %v", d, handshake)
+	}
 }
 
 // dialParent opens a raw TCP connection to a node's listener for
@@ -289,16 +280,21 @@ func dialParent(t *testing.T, addr string) net.Conn {
 	return raw
 }
 
-// recvTaskGob consumes one complete task over a scripted gob link —
-// acking every chunk, skipping heartbeats — and returns its ID and
-// assembled payload.
-func recvTaskGob(t *testing.T, dec *gob.Decoder, enc *gob.Encoder) (uint64, []byte) {
-	t.Helper()
+// scriptedConn wraps a raw test connection in the node's own framing, so
+// a scripted peer speaks exactly what a real node speaks.
+func scriptedConn(raw net.Conn) *conn {
+	return newConn(raw, "script", nil, 0, new(atomic.Uint64), nil)
+}
+
+// recvTask consumes one complete task over a scripted link — acking
+// every chunk, skipping other frames — and returns its ID and assembled
+// payload.
+func recvTask(c *conn) (uint64, []byte, error) {
 	var payload []byte
 	for {
-		var m message
-		if err := dec.Decode(&m); err != nil {
-			t.Fatalf("scripted child decode: %v", err)
+		m, err := c.recv()
+		if err != nil {
+			return 0, nil, err
 		}
 		if m.Kind != kindChunk {
 			continue
@@ -307,12 +303,12 @@ func recvTaskGob(t *testing.T, dec *gob.Decoder, enc *gob.Encoder) (uint64, []by
 			payload = make([]byte, m.Size)
 		}
 		copy(payload[m.Offset:], m.Data)
-		if err := enc.Encode(&message{Kind: kindChunkAck, Task: m.Task,
+		if err := c.send(&message{Kind: kindChunkAck, Task: m.Task,
 			Offset: m.Offset + len(m.Data), Last: m.Last}); err != nil {
-			t.Fatalf("scripted child ack: %v", err)
+			return 0, nil, err
 		}
 		if m.Last {
-			return m.Task, payload
+			return m.Task, payload, nil
 		}
 	}
 }

@@ -151,18 +151,11 @@ type Config struct {
 	// negative disables retransmission (unacked results then replay only
 	// after a reconnect).
 	ResultRetry time.Duration
-	// WireCodecs lists the wire codec versions this node offers in its
-	// hello (as a child) and accepts (as a parent). nil offers every
-	// codec this build speaks; a list of only CodecGob pins the legacy
-	// gob envelope. Gob itself is always implied — the handshake runs in
-	// it and negotiation falls back to it — so mixed-version overlays
-	// interoperate in both directions.
-	WireCodecs []Codec
 	// ChunkBatch is the most chunks of one transfer the send port writes
-	// per port turn on a binary conn (one buffer, one syscall); preemption
-	// still happens between turns, so a large batch trades preemption
-	// granularity for throughput. 0 means the default 8; negative (or a
-	// LinkDelay, which is emulated per chunk) forces single-chunk turns.
+	// per port turn (one buffer, one syscall); preemption still happens
+	// between turns, so a large batch trades preemption granularity for
+	// throughput. 0 means the default 8; negative (or a LinkDelay, which
+	// is emulated per chunk) forces single-chunk turns.
 	ChunkBatch int
 	// HandshakeTimeout bounds the hello / hello-ack exchange on each
 	// side; 0 means the 5s default.
@@ -287,6 +280,9 @@ type Node struct {
 	status    *statusServer
 	closed    bool
 	err       error
+	// accepted holds conns accepted but still awaiting their hello, so
+	// Close can cut them instead of waiting out HandshakeTimeout.
+	accepted map[*conn]bool
 
 	kick     chan struct{} // wakes the send port
 	comp     chan struct{} // wakes the compute loop
@@ -446,11 +442,6 @@ func StartConfig(cfg Config) (*Node, error) {
 	if cfg.HandshakeTimeout <= 0 {
 		cfg.HandshakeTimeout = defaultHandshakeTimeout
 	}
-	for _, wc := range cfg.WireCodecs {
-		if wc != CodecGob && !codecSupported(wc) {
-			return nil, fmt.Errorf("live: unsupported wire codec %v", wc)
-		}
-	}
 	if cfg.sleep == nil {
 		cfg.sleep = realSleep
 	}
@@ -465,6 +456,7 @@ func StartConfig(cfg Config) (*Node, error) {
 		started:   time.Now(),
 		inflight:  make(map[uint64]*inTransfer),
 		computing: make(map[uint64]bool),
+		accepted:  make(map[*conn]bool),
 		kick:      make(chan struct{}, 1),
 		comp:      make(chan struct{}, 1),
 		resKick:   make(chan struct{}, 1),
@@ -609,15 +601,6 @@ func (n *Node) countSendError() {
 	n.mu.Unlock()
 }
 
-// offeredWireCodecs is the negotiation offer list: the configured pin,
-// or everything this build speaks.
-func (n *Node) offeredWireCodecs() []Codec {
-	if n.cfg.WireCodecs != nil {
-		return n.cfg.WireCodecs
-	}
-	return supportedWireCodecs
-}
-
 // parentLabel is the uplink's display name for flight-recorder events:
 // the parent's node name once its hello-ack revealed it, "parent" before.
 func (n *Node) parentLabel() string {
@@ -641,6 +624,10 @@ func (n *Node) Close() error {
 	}
 	n.closed = true
 	children := append([]*childSession(nil), n.children...)
+	pending := make([]*conn, 0, len(n.accepted))
+	for c := range n.accepted {
+		pending = append(pending, c)
+	}
 	parent := n.parent
 	status := n.status
 	n.status = nil
@@ -650,6 +637,9 @@ func (n *Node) Close() error {
 		_ = status.srv.Close()
 	}
 	close(n.done)
+	for _, c := range pending {
+		_ = c.close()
+	}
 	for _, ch := range children {
 		_ = ch.c.send(&message{Kind: kindShutdown}) //lint:bwvet-ignore best-effort farewell on teardown; an unreachable child recovers via supervision
 		_ = ch.c.close()
@@ -899,7 +889,10 @@ func (n *Node) superviseConn(c *conn) {
 	})
 }
 
-// acceptLoop admits children.
+// acceptLoop admits children. Each accepted conn's handshake runs on its
+// own goroutine, which ends within HandshakeTimeout, so a dialer that
+// never sends its hello delays only itself, never the children that dial
+// after it.
 func (n *Node) acceptLoop() {
 	defer n.wg.Done()
 	for {
@@ -908,15 +901,33 @@ func (n *Node) acceptLoop() {
 			return // listener closed
 		}
 		c := newConn(raw, "", n.cfg.Faults, n.cfg.WriteTimeout, &n.wireSeq, &n.wireCtr)
-		hello, err := c.recvTimeout(n.cfg.HandshakeTimeout)
-		if err != nil || hello.Kind != kindHello {
+		n.mu.Lock()
+		if n.closed {
+			n.mu.Unlock()
 			_ = c.close()
-			continue
+			return
 		}
-		c.peer = hello.Name
-		c.peerName = hello.Name
-		n.admitChild(c, hello)
+		n.accepted[c] = true
+		n.mu.Unlock()
+		n.goTracked(func() { n.handshake(c) })
 	}
+}
+
+// handshake reads an accepted conn's hello under HandshakeTimeout and
+// admits the child. Silence, a foreign protocol or any other first frame
+// closes the conn without a reply.
+func (n *Node) handshake(c *conn) {
+	hello, err := c.recvHandshake(n.cfg.HandshakeTimeout, kindHello)
+	n.mu.Lock()
+	delete(n.accepted, c)
+	n.mu.Unlock()
+	if err != nil {
+		_ = c.close()
+		return
+	}
+	c.peer = hello.Name
+	c.peerName = hello.Name
+	n.admitChild(c, hello)
 }
 
 // admitChild installs a connection as a fresh child session — or, when
@@ -940,14 +951,14 @@ func (n *Node) admitChild(c *conn, hello *message) {
 	for _, rp := range hello.Resume {
 		covered[rp.Task] = true
 	}
-	// Codec negotiation: highest version both sides offer, gob floor.
-	// The conn's codec is set before it is published to the child loop
-	// and send port; the ack itself still travels as gob (the child
-	// switches after reading it).
-	c.codec = negotiateCodec(n.offeredWireCodecs(), hello.Codecs)
-	ack := &message{Kind: kindHelloAck, Name: n.cfg.Name, Codecs: codecBytes([]Codec{c.codec})}
+	ack := &message{Kind: kindHelloAck, Name: n.cfg.Name}
 
 	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		_ = c.close()
+		return
+	}
 	helloSeq := n.record(Event{Kind: EvHello, Peer: hello.Name, WireSeq: hello.Seq,
 		CausePeer: hello.TraceNode, CauseSeq: hello.TraceSeq})
 	ack.TraceNode, ack.TraceSeq = n.cfg.Name, helloSeq
@@ -1035,7 +1046,7 @@ func (n *Node) admitChild(c *conn, hello *message) {
 		_ = oldConn.close()
 	}
 
-	if err := c.sendHandshake(ack); err != nil {
+	if err := c.send(ack); err != nil {
 		_ = c.close()
 		n.markChildGone(sess, c)
 		return
@@ -1182,33 +1193,17 @@ func (n *Node) connectParent() error {
 	n.mu.Unlock()
 	sort.Slice(resume, func(i, j int) bool { return resume[i].Task < resume[j].Task })
 
-	offered := n.offeredWireCodecs()
 	helloWire := c.nextSeq()
 	helloSeq := n.record(Event{Kind: EvHello, Peer: "parent", WireSeq: helloWire})
-	if err := c.sendHandshake(&message{Kind: kindHello, Name: n.cfg.Name, Resume: resume, Holding: holding,
-		Codecs: codecBytes(offered), Seq: helloWire, TraceNode: n.cfg.Name, TraceSeq: helloSeq}); err != nil {
+	if err := c.send(&message{Kind: kindHello, Name: n.cfg.Name, Resume: resume, Holding: holding,
+		Seq: helloWire, TraceNode: n.cfg.Name, TraceSeq: helloSeq}); err != nil {
 		_ = c.close()
 		return fmt.Errorf("live: hello: %w", err)
 	}
-	ack, err := c.recvTimeout(n.cfg.HandshakeTimeout)
+	ack, err := c.recvHandshake(n.cfg.HandshakeTimeout, kindHelloAck)
 	if err != nil {
 		_ = c.close()
 		return fmt.Errorf("live: hello ack: %w", err)
-	}
-	if ack.Kind != kindHelloAck {
-		_ = c.close()
-		return fmt.Errorf("live: expected hello ack, got frame kind %d", ack.Kind)
-	}
-	if len(ack.Codecs) > 0 {
-		// The parent answered with its pick; a pick we never offered means
-		// the peers disagree on the protocol and the link must not come up
-		// half-speaking it.
-		chosen := negotiateCodec(offered, ack.Codecs)
-		if chosen == CodecGob {
-			_ = c.close()
-			return fmt.Errorf("live: parent chose unsupported wire codec %v", ack.Codecs)
-		}
-		c.codec = chosen
 	}
 	if ack.Name != "" {
 		// Written before the conn is published; recorder events on this

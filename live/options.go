@@ -112,22 +112,12 @@ func WithAppWeights(weights map[string]int64) Option {
 	return func(c *Config) { c.AppWeights = weights }
 }
 
-// WithWireCodecs pins the wire codec versions this node offers in its
-// hello (as a child) and accepts (as a parent); default all codecs this
-// build speaks, currently gob and the length-prefixed binary framing.
-// The handshake picks the highest version both peers offer and falls
-// back to gob, so pinning only CodecGob forces the legacy stream on
-// every link of this node in both directions.
-func WithWireCodecs(codecs ...Codec) Option {
-	return func(c *Config) { c.WireCodecs = codecs }
-}
-
 // WithChunkBatch sets how many chunks of one transfer the send port
-// writes per port turn on a binary-codec link (one buffer, one syscall);
-// default 8, negative forces single-chunk turns. Preemption happens
-// between turns, so a larger batch trades preemption granularity for
-// throughput. A LinkDelay forces single-chunk turns regardless, keeping
-// the emulated per-chunk delay faithful.
+// writes per port turn (one buffer, one syscall); default 8, negative
+// forces single-chunk turns. Preemption happens between turns, so a
+// larger batch trades preemption granularity for throughput. A
+// LinkDelay forces single-chunk turns regardless, keeping the emulated
+// per-chunk delay faithful.
 func WithChunkBatch(chunks int) Option {
 	return func(c *Config) { c.ChunkBatch = chunks }
 }

@@ -15,9 +15,9 @@ package live
 // state — cmd/bwtrace relies on this to re-verify scheduling decisions
 // from merged dumps. Cross-node causality is carried on the wire: chunk
 // and result frames are stamped with the sender's name and the sequence
-// number of the recorder event that caused them (appended gob fields, see
-// wire.go), so a receive event on one node names the send event on its
-// peer.
+// number of the recorder event that caused them (the trace context in
+// every frame's header, see wire.go), so a receive event on one node
+// names the send event on its peer.
 
 import (
 	"sync"

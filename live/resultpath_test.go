@@ -8,8 +8,6 @@ package live
 // requeue.
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"testing"
@@ -201,7 +199,8 @@ func TestResultAcksRetireLedger(t *testing.T) {
 	}
 }
 
-// TestReviveReconciliationRequeues drives a scripted child over raw gob:
+// TestReviveReconciliationRequeues drives a scripted child over the
+// node's own framing:
 // it takes one task end to end (final chunk acked, so the root holds it
 // outstanding), dies without computing it, and revives within the grace
 // window holding nothing. The root must requeue the task at revive time
@@ -227,39 +226,22 @@ func TestReviveReconciliationRequeues(t *testing.T) {
 			tookc <- taken{err: err}
 			return
 		}
-		defer raw.Close()
-		enc, dec := gob.NewEncoder(raw), gob.NewDecoder(raw)
-		if err := enc.Encode(&message{Kind: kindHello, Name: "fake"}); err != nil {
+		defer raw.Close() // severs the link with the task swallowed
+		c := scriptedConn(raw)
+		if err := c.send(&message{Kind: kindHello, Name: "fake"}); err != nil {
 			tookc <- taken{err: err}
 			return
 		}
-		var ack message
-		if err := dec.Decode(&ack); err != nil {
+		if _, err := c.recv(); err != nil { // the hello-ack
 			tookc <- taken{err: err}
 			return
 		}
-		if err := enc.Encode(&message{Kind: kindRequest, N: 1}); err != nil {
+		if err := c.send(&message{Kind: kindRequest, N: 1}); err != nil {
 			tookc <- taken{err: err}
 			return
 		}
-		for {
-			var m message
-			if err := dec.Decode(&m); err != nil {
-				tookc <- taken{err: err}
-				return
-			}
-			if m.Kind != kindChunk {
-				continue
-			}
-			if err := enc.Encode(&message{Kind: kindChunkAck, Task: m.Task, Offset: m.Offset + len(m.Data), Last: m.Last}); err != nil {
-				tookc <- taken{err: err}
-				return
-			}
-			if m.Last {
-				tookc <- taken{id: m.Task}
-				return // the deferred close severs the link with the task swallowed
-			}
-		}
+		id, _, err := recvTask(c)
+		tookc <- taken{id: id, err: err}
 	}()
 
 	resc := make(chan []Result, 1)
@@ -303,12 +285,12 @@ func TestReviveReconciliationRequeues(t *testing.T) {
 		t.Fatalf("re-dial: %v", err)
 	}
 	defer raw2.Close()
-	enc2, dec2 := gob.NewEncoder(raw2), gob.NewDecoder(raw2)
-	if err := enc2.Encode(&message{Kind: kindHello, Name: "fake"}); err != nil {
+	c2 := scriptedConn(raw2)
+	if err := c2.send(&message{Kind: kindHello, Name: "fake"}); err != nil {
 		t.Fatalf("revive hello: %v", err)
 	}
-	var ack2 message
-	if err := dec2.Decode(&ack2); err != nil {
+	ack2, err := c2.recv()
+	if err != nil {
 		t.Fatalf("revive hello ack: %v", err)
 	}
 	if !ack2.Revived {
@@ -316,8 +298,7 @@ func TestReviveReconciliationRequeues(t *testing.T) {
 	}
 	go func() { // drain so the root's writes never block
 		for {
-			var m message
-			if dec2.Decode(&m) != nil {
+			if _, err := c2.recv(); err != nil {
 				return
 			}
 		}
@@ -397,16 +378,13 @@ func TestResultLedgerOrderAndRetire(t *testing.T) {
 	}
 }
 
-// TestMidStreamReconnectSwitchesCodec covers a codec downgrade across a
-// reconnect: a scripted child handshakes binary, takes one task and
-// returns its result entirely over binary frames, then dies before the
-// result ack arrives. It revives inside the grace window with a
-// gob-only hello (no Codecs field — an old build after a rollback) that
-// still claims the task, and replays the unacked result over gob. The
-// root must serve each connection in its own negotiated codec, dedupe
-// the replay, and still ack it so the child's ledger can retire —
-// exactly-once end to end.
-func TestMidStreamReconnectSwitchesCodec(t *testing.T) {
+// TestMidStreamReconnectReplayDeduped covers exactly-once across a
+// reconnect: a scripted child takes one task and returns its result,
+// then dies before the result ack arrives. It revives inside the grace
+// window with a hello that still claims the task and replays the
+// unacked result. The root must dedupe the replay and still ack it so
+// the child's ledger can retire — exactly-once end to end.
+func TestMidStreamReconnectReplayDeduped(t *testing.T) {
 	const tasks = 6
 	root := startNode(t, Config{
 		Name: "root", Listen: "127.0.0.1:0", Buffers: 3,
@@ -430,78 +408,28 @@ func TestMidStreamReconnectSwitchesCodec(t *testing.T) {
 			return
 		}
 		defer raw.Close()
-		// One bufio.Reader shared between the gob handshake and the
-		// binary frame reader, exactly as conn does it: gob reads one
-		// message at a time off it, so the codec switch happens at a
-		// clean frame boundary.
-		br := bufio.NewReader(raw)
-		enc, dec := gob.NewEncoder(raw), gob.NewDecoder(br)
-		if err := enc.Encode(&message{Kind: kindHello, Name: "fake",
-			Codecs: codecBytes([]Codec{CodecBinary})}); err != nil {
+		c := scriptedConn(raw)
+		if err := c.send(&message{Kind: kindHello, Name: "fake"}); err != nil {
 			fail("hello: %v", err)
 			return
 		}
-		var ack message
-		if err := dec.Decode(&ack); err != nil {
+		if ack, err := c.recv(); err != nil || ack.Kind != kindHelloAck {
 			fail("hello ack: %v", err)
 			return
 		}
-		if len(ack.Codecs) != 1 || Codec(ack.Codecs[0]) != CodecBinary {
-			fail("first hello-ack pinned codecs %v, want [binary]", ack.Codecs)
-			return
-		}
-
-		// Binary from here on, both directions.
-		var in interner
-		writeBin := func(m *message) error {
-			buf, err := appendFrame(nil, m)
-			if err != nil {
-				return err
-			}
-			_, err = raw.Write(buf)
-			return err
-		}
-		readBin := func() (*message, error) {
-			body, err := readFrame(br, nil)
-			if err != nil {
-				return nil, err
-			}
-			m := new(message)
-			if err := decodeFrame(body, m, &in); err != nil {
-				return nil, err
-			}
-			return m, nil
-		}
-		if err := writeBin(&message{Kind: kindRequest, N: 1}); err != nil {
+		if err := c.send(&message{Kind: kindRequest, N: 1}); err != nil {
 			fail("request: %v", err)
 			return
 		}
-		var id uint64
-		var payload []byte
-		for {
-			m, err := readBin()
-			if err != nil {
-				fail("read chunk: %v", err)
-				return
-			}
-			if m.Kind != kindChunk {
-				continue
-			}
-			payload = append(payload, m.Data...)
-			if err := writeBin(&message{Kind: kindChunkAck, Task: m.Task,
-				Offset: m.Offset + len(m.Data), Last: m.Last}); err != nil {
-				fail("chunk ack: %v", err)
-				return
-			}
-			if m.Last {
-				id = m.Task
-				break
-			}
+		id, payload, err := recvTask(c)
+		if err != nil {
+			fail("receive task: %v", err)
+			return
 		}
-		// Return the result over the binary stream and die without
-		// waiting for the ack: the result stays unacked on the (fake)
-		// ledger and must be replayed after the revive.
-		if err := writeBin(&message{Kind: kindResult, Task: id, Origin: "fake",
+		// Return the result and die without waiting for the ack: the
+		// result stays unacked on the (fake) ledger and must be replayed
+		// after the revive.
+		if err := c.send(&message{Kind: kindResult, Task: id, Origin: "fake",
 			Output: payload}); err != nil {
 			fail("result: %v", err)
 			return
@@ -519,7 +447,7 @@ func TestMidStreamReconnectSwitchesCodec(t *testing.T) {
 
 	leg1 := <-leg1c
 	if leg1.err != nil {
-		t.Fatalf("scripted child, binary leg: %v", leg1.err)
+		t.Fatalf("scripted child, first leg: %v", leg1.err)
 	}
 
 	// Wait for the root to notice the dead link so the second dial
@@ -543,46 +471,39 @@ func TestMidStreamReconnectSwitchesCodec(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// Revive speaking plain gob: the hello carries no Codecs, so the
-	// parent must drop this link to the gob floor even though the same
-	// session ran binary a moment ago.
 	raw2, err := net.Dial("tcp", root.Addr())
 	if err != nil {
 		t.Fatalf("re-dial: %v", err)
 	}
 	defer raw2.Close()
-	enc2, dec2 := gob.NewEncoder(raw2), gob.NewDecoder(raw2)
-	if err := enc2.Encode(&message{Kind: kindHello, Name: "fake",
+	c2 := scriptedConn(raw2)
+	if err := c2.send(&message{Kind: kindHello, Name: "fake",
 		Holding: []uint64{leg1.id}}); err != nil {
 		t.Fatalf("revive hello: %v", err)
 	}
-	var ack2 message
-	if err := dec2.Decode(&ack2); err != nil {
+	ack2, err := c2.recv()
+	if err != nil {
 		t.Fatalf("revive hello ack: %v", err)
 	}
 	if !ack2.Revived {
 		t.Fatalf("session was not revived")
 	}
-	if len(ack2.Codecs) != 0 {
-		t.Fatalf("gob-only revive got codec pick %v, want none (gob floor)", ack2.Codecs)
-	}
-	// Replay the unacked result over gob; the root already relayed it
-	// from the binary leg, so this must dedupe — and still be acked.
-	if err := enc2.Encode(&message{Kind: kindResult, Task: leg1.id, Origin: "fake",
+	// Replay the unacked result; the root already relayed it from the
+	// first leg, so this must dedupe — and still be acked.
+	if err := c2.send(&message{Kind: kindResult, Task: leg1.id, Origin: "fake",
 		Output: leg1.payload}); err != nil {
 		t.Fatalf("replay result: %v", err)
 	}
-	ackDeadline := time.After(10 * time.Second)
-	got := make(chan message, 1)
+	got := make(chan struct{}, 1)
 	go func() {
 		for {
-			var m message
-			if dec2.Decode(&m) != nil {
+			m, err := c2.recv()
+			if err != nil {
 				return
 			}
 			if m.Kind == kindResultAck && m.Task == leg1.id {
 				select {
-				case got <- m:
+				case got <- struct{}{}:
 				default:
 				}
 			}
@@ -590,8 +511,8 @@ func TestMidStreamReconnectSwitchesCodec(t *testing.T) {
 	}()
 	select {
 	case <-got:
-	case <-ackDeadline:
-		t.Fatalf("replayed result never acked over the gob leg")
+	case <-time.After(10 * time.Second):
+		t.Fatalf("replayed result never acked on the revived link")
 	}
 
 	results := <-resc
@@ -600,7 +521,7 @@ func TestMidStreamReconnectSwitchesCodec(t *testing.T) {
 	}
 	assertExactlyOnce(t, results, tasks)
 	if s := root.Stats(); s.ResultsDeduped < 1 {
-		t.Fatalf("ResultsDeduped = %d, want >= 1 (the gob replay of task %d)", s.ResultsDeduped, leg1.id)
+		t.Fatalf("ResultsDeduped = %d, want >= 1 (the replay of task %d)", s.ResultsDeduped, leg1.id)
 	}
 }
 

@@ -2,7 +2,6 @@ package live
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -63,8 +62,9 @@ type ResumePoint struct {
 	Offset int
 }
 
-// message is the single wire envelope. One gob stream per direction per
-// connection.
+// message is the single wire envelope: every frame in both directions,
+// the handshake included, is one message in the binary framing (see
+// appendFrame for which fields each kind carries).
 type message struct {
 	Kind msgKind
 
@@ -99,9 +99,7 @@ type message struct {
 	Output []byte
 	Origin string // name of the node that computed the task
 
-	// Trace context (appended fields — kind values are unchanged, and gob
-	// ignores fields one side does not declare, so old-format frames
-	// decode with zero trace context and old peers skip these).
+	// Trace context, carried in every frame's header.
 	//
 	// Seq is a node-unique wire sequence number stamped on every frame
 	// the node sends. TraceNode and TraceSeq name the flight-recorder
@@ -112,51 +110,28 @@ type message struct {
 	TraceNode string
 	TraceSeq  uint64
 
-	// Application tag (appended field, back-compatible both directions
-	// exactly like the trace context above: old-format frames decode with
-	// an empty App, old peers skip the field). Chunks carry the task's
+	// Application tag, empty for untagged tasks. Chunks carry the task's
 	// application so the receiving subtree preserves tenant attribution;
 	// results echo it back so every hop keeps per-tenant counters; a
 	// request carries the application whose freed buffer fired it
 	// (informational — requests remain anonymous capacity, exactly as in
 	// the engine).
 	App string
-
-	// Codecs (appended field, back-compatible both directions like App
-	// and the trace context) carries codec-version negotiation: a hello
-	// lists every version beyond gob the child speaks, the hello-ack
-	// echoes the parent's pick. Peers that predate versioning skip the
-	// field and keep their gob streams. See Codec.
-	Codecs []uint8
 }
 
-// conn wraps a network connection with gob codecs and a write lock so
-// multiple goroutines (request sender, result relay, send port) can share
-// the outbound stream safely. It also carries the link's supervision
-// state: the receive timestamp heartbeat monitors watch, the per-message
-// write deadline, and the fault-injection plan consulted on every frame.
+// conn wraps a network connection with the binary framing and a write
+// lock so multiple goroutines (request sender, result relay, send port)
+// can share the outbound stream safely. It also carries the link's
+// supervision state: the receive timestamp heartbeat monitors watch,
+// the per-message write deadline, and the fault-injection plan consulted
+// on every frame.
 type conn struct {
 	raw net.Conn
 	w   io.Writer // raw wrapped with the byte counter; all writes go through it
-	enc *gob.Encoder
-	dec *gob.Decoder
-	// br is the shared inbound buffer: the gob decoder reads through it
-	// (bufio.Reader is an io.ByteReader, so gob never double-buffers and
-	// never reads past a message boundary), which is what makes switching
-	// to binary framing at a frame boundary safe — the binary reader
-	// picks up exactly where the handshake's gob stream stopped.
-	br *bufio.Reader
-	// codec is the negotiated wire codec. It is written once during the
-	// handshake, before the conn is published to other goroutines, and
-	// stays fixed for the connection's lifetime (a reconnect negotiates
-	// afresh on a new conn).
-	codec Codec
-	wmu   sync.Mutex
-	// Write-side scratch, guarded by wmu: the reusable gob envelope (so
-	// callers' messages do not escape to the heap) and the binary encode
-	// buffer.
-	scratch message
-	wbuf    []byte
+	br  *bufio.Reader
+	wmu sync.Mutex
+	// wbuf is the reusable encode buffer, guarded by wmu.
+	wbuf []byte
 	// Read-side scratch, owned by the conn's single reader goroutine.
 	rbuf   []byte
 	rmsg   message
@@ -191,8 +166,8 @@ type wireCounters struct {
 	bytesRecv  atomic.Int64
 }
 
-// countingWriter and countingReader meter raw link bytes (gob and binary
-// alike) into the owning node's wire counters.
+// countingWriter and countingReader meter raw link bytes into the owning
+// node's wire counters.
 type countingWriter struct {
 	w io.Writer
 	n *atomic.Int64
@@ -219,14 +194,10 @@ func newConn(raw net.Conn, peer string, faults *FaultPlan, writeTO time.Duration
 	if ctr == nil {
 		ctr = &wireCounters{}
 	}
-	w := &countingWriter{w: raw, n: &ctr.bytesSent}
-	br := bufio.NewReaderSize(&countingReader{r: raw, n: &ctr.bytesRecv}, 32<<10)
 	c := &conn{
 		raw:     raw,
-		w:       w,
-		enc:     gob.NewEncoder(w),
-		dec:     gob.NewDecoder(br),
-		br:      br,
+		w:       &countingWriter{w: raw, n: &ctr.bytesSent},
+		br:      bufio.NewReaderSize(&countingReader{r: raw, n: &ctr.bytesRecv}, 32<<10),
 		peer:    peer,
 		faults:  faults,
 		writeTO: writeTO,
@@ -260,17 +231,6 @@ var errFaultSevered = fmt.Errorf("live: connection severed by fault plan")
 // send writes one message, serialized with the connection's write lock and
 // bounded by the per-message write deadline.
 func (c *conn) send(m *message) error {
-	return c.sendAs(m, c.codec)
-}
-
-// sendHandshake writes a hello or hello-ack. Handshake frames are always
-// gob — the codec a connection will speak is decided by this exchange,
-// so the exchange itself stays in the floor format every peer speaks.
-func (c *conn) sendHandshake(m *message) error {
-	return c.sendAs(m, CodecGob)
-}
-
-func (c *conn) sendAs(m *message, codec Codec) error {
 	if m.Seq == 0 {
 		m.Seq = c.wireSeq.Add(1)
 	}
@@ -287,55 +247,35 @@ func (c *conn) sendAs(m *message, codec Codec) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.writeLocked(m, codec)
+	return c.writeLocked(m)
 }
 
 // writeLocked encodes and writes one frame; callers hold wmu. wmu exists
 // solely to serialize writes: it guards no other state, and the stall
 // lockdiscipline fears is capped by the write deadline.
-func (c *conn) writeLocked(m *message, codec Codec) error {
+func (c *conn) writeLocked(m *message) error {
 	if c.writeTO > 0 {
 		_ = c.raw.SetWriteDeadline(time.Now().Add(c.writeTO))
 	}
-	if codec == CodecBinary {
-		buf, err := appendFrame(c.wbuf[:0], m)
-		if err != nil {
-			return err
-		}
-		c.wbuf = buf
-		if _, err := c.w.Write(buf); err != nil {
-			return err
-		}
-		c.ctr.framesSent.Add(1)
-		return nil
+	buf, err := appendFrame(c.wbuf[:0], m)
+	if err != nil {
+		return err
 	}
-	// Copy into the per-conn scratch envelope so the caller's message —
-	// typically a stack-allocated literal — does not escape through the
-	// encoder's interface argument.
-	c.scratch = *m
-	if err := c.enc.Encode(&c.scratch); err != nil {
+	c.wbuf = buf
+	if _, err := c.w.Write(buf); err != nil {
 		return err
 	}
 	c.ctr.framesSent.Add(1)
 	return nil
 }
 
-// sendBatch writes the frames back to back — on a binary conn in one
-// buffer, one syscall — and reports how many leading frames the
-// "network" accepted (written or scripted as drops) before any error.
-// On a write error the count is 0: none of the batch may be assumed
-// delivered, and the link-failure path takes over. A scripted sever
-// cuts the batch at the severed frame, exactly where sequential sends
-// would have stopped.
+// sendBatch writes the frames back to back — in one buffer, one
+// syscall — and reports how many leading frames the "network" accepted
+// (written or scripted as drops) before any error. On a write error the
+// count is 0: none of the batch may be assumed delivered, and the
+// link-failure path takes over. A scripted sever cuts the batch at the
+// severed frame, exactly where sequential sends would have stopped.
 func (c *conn) sendBatch(ms []*message) (int, error) {
-	if c.codec != CodecBinary || len(ms) == 1 {
-		for i, m := range ms {
-			if err := c.send(m); err != nil {
-				return i, err
-			}
-		}
-		return len(ms), nil
-	}
 	accepted := 0
 	severed := false
 	keep := ms[:0] // compacted in place; only writes behind the read index
@@ -395,31 +335,24 @@ func (c *conn) sendBatch(ms []*message) (int, error) {
 }
 
 // recv reads the next message, stamping the link's proof-of-life clock.
-// On a binary conn the returned message is the conn's reusable decode
-// slot: it is valid until the next recv, and its Data field aliases the
-// reusable read buffer (consumers copy before the next read; Output is
-// already copied by the decoder because results outlive the buffer).
+// The returned message is the conn's reusable decode slot: it is valid
+// until the next recv, and its Data field aliases the reusable read
+// buffer (consumers copy before the next read; Output is already copied
+// by the decoder because results outlive the buffer). A frame that does
+// not decode is an error, so a peer speaking anything but this framing
+// fails its first frame.
 func (c *conn) recv() (*message, error) {
 	for {
-		var m *message
-		if c.codec == CodecBinary {
-			body, err := readFrame(c.br, c.rbuf)
-			c.rbuf = body[:cap(body)]
-			if err != nil {
-				return nil, err
-			}
-			if err := decodeFrame(body, &c.rmsg, &c.intern); err != nil {
-				return nil, err
-			}
-			c.ctr.framesRecv.Add(1)
-			m = &c.rmsg
-		} else {
-			m = new(message)
-			if err := c.dec.Decode(m); err != nil {
-				return nil, err
-			}
-			c.ctr.framesRecv.Add(1)
+		body, err := readFrame(c.br, c.rbuf)
+		c.rbuf = body[:cap(body)]
+		if err != nil {
+			return nil, err
 		}
+		if err := decodeFrame(body, &c.rmsg, &c.intern); err != nil {
+			return nil, err
+		}
+		c.ctr.framesRecv.Add(1)
+		m := &c.rmsg
 		c.lastRecv.Store(time.Now().UnixNano())
 		if c.faults != nil {
 			switch op, d := c.faults.decide(FaultRecv, c.peer, FrameKind(m.Kind)); op {
@@ -436,14 +369,37 @@ func (c *conn) recv() (*message, error) {
 	}
 }
 
-// recvTimeout reads one message under a read deadline (handshakes only:
-// the steady-state read loop relies on heartbeat supervision instead).
-func (c *conn) recvTimeout(d time.Duration) (*message, error) {
+// recvHandshake reads a handshake frame of kind want under a read
+// deadline (the steady-state read loop relies on heartbeat supervision
+// instead). The kind byte is checked as soon as it arrives, so a peer
+// speaking another protocol is rejected at its first bytes rather than
+// after the body length those bytes happen to spell.
+func (c *conn) recvHandshake(d time.Duration, want msgKind) (*message, error) {
 	if d > 0 {
 		_ = c.raw.SetReadDeadline(time.Now().Add(d))
 		defer c.raw.SetReadDeadline(time.Time{})
 	}
-	return c.recv()
+	for n := 1; ; n++ { // n = length-prefix bytes seen so far
+		if n > prefixMax {
+			return nil, errFrameTooBig
+		}
+		b, err := c.br.Peek(n + 1)
+		if err != nil {
+			return nil, err
+		}
+		if b[n-1] < 0x80 { // last prefix byte; b[n] is the kind
+			if msgKind(b[n]) != want {
+				return nil, fmt.Errorf("live: expected frame kind %d, got %d", want, b[n])
+			}
+			break
+		}
+	}
+	m, err := c.recv()
+	if err == nil && m.Kind != want {
+		// A scripted drop let a later frame through.
+		return nil, fmt.Errorf("live: expected frame kind %d, got %d", want, m.Kind)
+	}
+	return m, err
 }
 
 // sinceRecv reports how long the link has been silent inbound.
@@ -463,7 +419,7 @@ type inTransfer struct {
 	payload []byte
 	got     int
 	// app is the task's application tag, carried on every chunk (empty
-	// when the sender predates tagging or the task is untagged).
+	// when the task is untagged).
 	app string
 	// segment/segmentFrom track the trace context of the last chunk, so
 	// the flight recorder logs one receive event per transfer segment

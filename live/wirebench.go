@@ -35,26 +35,24 @@ func (r WireBenchResult) BytesPerSec() float64 {
 
 // WireBench measures raw data-plane throughput — framing, codec, and
 // loopback TCP, with the scheduling engine out of the picture. It opens
-// links parent→child connections pinned to codec, and each sender
-// streams frames chunk frames of size payload bytes, batched batch
-// frames per write on binary links (gob has no batched writer and
-// always sends frame-at-a-time, exactly like the engine). The receiver
-// side decodes every frame; the run ends when every link has delivered
-// its full count.
+// links parent→child connections, and each sender streams frames chunk
+// frames of size payload bytes, batched batch frames per write. The
+// receiver side decodes every frame; the run ends when every link has
+// delivered its full count. codec must be CodecBinary, the one codec
+// the live plane speaks.
 //
 // This is the measurement bwload's -wire-only mode reports: an overlay
 // under real task load adds scheduling, compute, and round-trip costs
-// on top, so WireBench is the data plane's ceiling, useful for
-// comparing codecs against each other rather than predicting overlay
-// task throughput.
+// on top, so WireBench is the data plane's ceiling rather than a
+// prediction of overlay task throughput.
 func WireBench(codec Codec, links, frames, size, batch int) (WireBenchResult, error) {
-	if !codecSupported(codec) && codec != CodecGob {
+	if codec != CodecBinary {
 		return WireBenchResult{}, fmt.Errorf("live: unsupported wire codec %d", codec)
 	}
 	if links < 1 || frames < 1 || size < 0 {
 		return WireBenchResult{}, fmt.Errorf("live: wire bench needs links >= 1, frames >= 1, size >= 0")
 	}
-	if batch < 1 || codec == CodecGob {
+	if batch < 1 {
 		batch = 1
 	}
 
@@ -82,7 +80,6 @@ func WireBench(codec Codec, links, frames, size, batch int) (WireBenchResult, er
 				return
 			}
 			c := newConn(raw, "parent", nil, 0, &seq, nil)
-			c.codec = codec
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -110,7 +107,6 @@ func WireBench(codec Codec, links, frames, size, batch int) (WireBenchResult, er
 			return WireBenchResult{}, err
 		}
 		c := newConn(raw, fmt.Sprintf("w%d", l+1), nil, 0, &seq, &ctr)
-		c.codec = codec
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
